@@ -17,6 +17,7 @@ import (
 
 	"github.com/xqdb/xqdb/internal/postings"
 	"github.com/xqdb/xqdb/internal/workload"
+	"github.com/xqdb/xqdb/internal/xmlindex"
 )
 
 const benchDocs = 2000
@@ -305,14 +306,15 @@ func BenchmarkE12_Scaling(b *testing.B) {
 	}
 }
 
-// --- probe pipeline: posting lists vs map sets, cold vs cached ---
+// --- probe pipeline: posting-list combine, cold vs cached ---
 
-// synthDocStreams builds doc-id streams shaped like a B+Tree range scan:
-// one ascending run of doc ids per indexed value (composite keys sort by
-// value first, then doc), with adjacent duplicates where one document
-// holds several matching nodes. Deterministic, so both pipeline variants
-// see identical input.
-func synthDocStreams(streams, runs, idsPerRun int) [][]uint32 {
+// synthNodeStreams builds node-reference streams shaped like a B+Tree
+// range scan: one ascending run of packed (doc, ordinal) refs per indexed
+// value (composite keys sort by value first, then doc and node), with a
+// second matching node in the same document now and then. Each run
+// draws its ordinals from its own range, so no node appears twice, as in
+// a real index. Deterministic, so every iteration sees identical input.
+func synthNodeStreams(streams, runs, refsPerRun int) [][]uint64 {
 	state := uint32(2463534242)
 	rnd := func(n uint32) uint32 { // xorshift32
 		state ^= state << 13
@@ -320,78 +322,36 @@ func synthDocStreams(streams, runs, idsPerRun int) [][]uint32 {
 		state ^= state << 5
 		return state % n
 	}
-	out := make([][]uint32, streams)
+	out := make([][]uint64, streams)
 	for s := range out {
-		ids := make([]uint32, 0, runs*idsPerRun*2)
-		for r := 0; r < runs; r++ {
+		refs := make([]uint64, 0, runs*refsPerRun*2)
+		for r := uint32(0); r < uint32(runs); r++ {
 			doc := rnd(500) // each value's run restarts near the front
-			for i := 0; i < idsPerRun; i++ {
+			for i := 0; i < refsPerRun; i++ {
 				doc += 1 + rnd(3)
-				ids = append(ids, doc)
+				refs = append(refs, postings.PackNode(doc, 2*r))
 				if rnd(4) == 0 { // same doc matches at a second node
-					ids = append(ids, doc)
+					refs = append(refs, postings.PackNode(doc, 2*r+1))
 				}
 			}
 		}
-		out[s] = ids
+		out[s] = refs
 	}
 	return out
 }
 
-// CombineMapSets replicates the pre-posting-list pipeline: build one
-// map[uint32]bool per probe from its entry stream, then intersect the
-// first two and union in the third — the engine's occurrence combine.
-func BenchmarkProbePipeline_CombineMapSets(b *testing.B) {
-	streams := synthDocStreams(3, 16, 250)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sets := make([]map[uint32]bool, len(streams))
-		for s, ids := range streams {
-			m := make(map[uint32]bool)
-			for _, id := range ids {
-				m[id] = true
-			}
-			sets[s] = m
-		}
-		inter := map[uint32]bool{}
-		for k := range sets[0] {
-			if sets[1][k] {
-				inter[k] = true
-			}
-		}
-		union := make(map[uint32]bool, len(inter)+len(sets[2]))
-		for k := range inter {
-			union[k] = true
-		}
-		for k := range sets[2] {
-			union[k] = true
-		}
-		if len(union) == 0 {
-			b.Fatal("empty result")
-		}
-	}
-}
-
-// CombinePostingLists is the same combine over sorted posting lists, the
-// way docCollector + DocList run it: append doc ids with adjacent-run
-// dedup, one k-way run merge per stream, then galloping intersection and
-// merge union with no hashing.
+// CombinePostingLists is the engine's occurrence combine as a probe runs
+// it: one run merge of each stream's node refs, the document projection,
+// then galloping intersection of the first two lists and a merge union
+// with the third.
 func BenchmarkProbePipeline_CombinePostingLists(b *testing.B) {
-	streams := synthDocStreams(3, 16, 250)
+	streams := synthNodeStreams(3, 16, 250)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lists := make([]postings.List, len(streams))
-		for s, ids := range streams {
-			docs := make([]uint32, 0, len(ids))
-			for _, id := range ids {
-				if n := len(docs); n > 0 && docs[n-1] == id {
-					continue
-				}
-				docs = append(docs, id)
-			}
-			lists[s] = postings.FromRuns(docs)
+		for s, refs := range streams {
+			lists[s] = postings.NodesFromRuns(append([]uint64(nil), refs...)).Docs()
 		}
 		union := postings.Union(postings.Intersect(lists[0], lists[1]), lists[2])
 		if len(union) == 0 {
@@ -400,34 +360,60 @@ func BenchmarkProbePipeline_CombinePostingLists(b *testing.B) {
 	}
 }
 
-// benchXQOpts is benchXQ under explicit QueryOptions.
-func benchXQOpts(b *testing.B, db *DB, query string, opts QueryOptions) {
+// coldConstants is how many distinct constants a cold-probe benchmark
+// cycles through: more than an index's probe cache holds, so under LRU
+// every iteration's probe misses and scans the B+Tree.
+const coldConstants = xmlindex.DefaultProbeCacheCap + 64
+
+// coldStmts prepares one statement per cold constant, the query built
+// by format from the constant's index.
+func coldStmts(b *testing.B, db *DB, format func(k int) string) []*Stmt {
 	b.Helper()
-	db.UseIndexes = true
+	stmts := make([]*Stmt, coldConstants)
+	for k := range stmts {
+		stmt, err := db.PrepareXQuery(format(k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts[k] = stmt
+	}
+	return stmts
+}
+
+// benchStmts executes the statements round-robin.
+func benchStmts(b *testing.B, stmts []*Stmt) {
+	b.Helper()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := db.QueryXQueryOpts(query, opts); err != nil {
+		if _, _, err := stmts[i%len(stmts)].ExecOpts(QueryOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// Cold forces a B+Tree scan per probe on every run; Cached serves both
-// probes of the two-probe query from the versioned probe cache.
+// Cold scans the B+Tree for both probes of the two-probe query on every
+// run, the bounds shifting by a thousandth per constant; Cached serves
+// both probes from the versioned probe cache.
 func BenchmarkProbePipeline_QueryTwoProbesCold(b *testing.B) {
 	db := multiPriceDB(b)
-	b.ReportAllocs()
-	benchXQOpts(b, db, q30general, QueryOptions{NoProbeCache: true})
+	db.UseIndexes = true
+	benchStmts(b, coldStmts(b, db, func(k int) string {
+		return fmt.Sprintf(`db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem[price > 100.%03d and price < 200.%03d]`, k, k)
+	}))
 }
 
 func BenchmarkProbePipeline_QueryTwoProbesCached(b *testing.B) {
 	db := multiPriceDB(b)
 	db.UseIndexes = true
-	if _, _, err := db.QueryXQuery(q30general); err != nil { // warm the cache
+	stmt, err := db.PrepareXQuery(q30general)
+	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	benchXQOpts(b, db, q30general, QueryOptions{})
+	if _, _, err := stmt.ExecOpts(QueryOptions{}); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	benchStmts(b, []*Stmt{stmt})
 }
 
 // --- cold load: per-row inserts vs the streaming ingestion pipeline ---
@@ -500,15 +486,13 @@ func BenchmarkColdLoad_StreamingPipeline(b *testing.B) {
 	}
 }
 
-// --- path synopsis: short-circuit vs full probe ---
+// --- path synopsis: short-circuit ---
 
 // The query's pattern is index-eligible (li_price covers it by
 // containment) but matches no stored path — no order carries an
-// <archived> wrapper — so the synopsis can prove the probe empty
-// without touching the B+Tree. SynopsisOff runs the probe for real
-// (NoSynopsis baseline, and NoProbeCache so every iteration pays the
-// scan); SynopsisOn answers from the path summary. Results are
-// identical (empty) either way.
+// <archived> wrapper — so the synopsis proves the probe empty without
+// touching the B+Tree. Prepared, so parse and analysis drop out and the
+// benchmark times the short-circuited execution alone.
 const qSynSkip = `for $i in db2-fn:xmlcolumn('ORDERS.ORDDOC')//archived/lineitem[@price > 100] return $i`
 
 func BenchmarkSynopsisShortCircuit(b *testing.B) {
@@ -518,73 +502,27 @@ func BenchmarkSynopsisShortCircuit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Prepared, so parse + analysis drop out and the pair isolates what
-	// the short-circuit saves: the per-execution index range scan.
-	run := func(b *testing.B, opts QueryOptions) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := stmt.ExecOpts(opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("SynopsisOff", func(b *testing.B) {
-		run(b, QueryOptions{NoSynopsis: true, NoProbeCache: true})
-	})
-	b.Run("SynopsisOn", func(b *testing.B) {
-		run(b, QueryOptions{NoProbeCache: true})
-	})
+	benchStmts(b, []*Stmt{stmt})
 }
 
 // --- node-level postings: index-only answers and seeded re-evaluation ---
 
-// Both variants pay the full range scan every iteration (NoProbeCache);
-// the pair isolates what node granularity saves. DocGranular runs the
-// probe as a document pre-filter and then evaluates the count over the
-// surviving documents; NodeGranular answers fn:count straight from the
-// decoded node references without touching a document.
-func BenchmarkIndexOnly_DocGranular(b *testing.B) {
-	benchIndexOnly(b, QueryOptions{NoIndexOnly: true, NoProbeCache: true})
-}
-
+// NodeGranular answers fn:count straight from the decoded node
+// references of a cold probe, without touching a document.
 func BenchmarkIndexOnly_NodeGranular(b *testing.B) {
-	benchIndexOnly(b, QueryOptions{NoProbeCache: true})
-}
-
-func benchIndexOnly(b *testing.B, opts QueryOptions) {
-	b.Helper()
 	db := benchDB(b)
 	db.UseIndexes = true
-	stmt, err := db.PrepareXQuery(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem/@price[. > 100])`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := stmt.ExecOpts(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchStmts(b, coldStmts(b, db, func(k int) string {
+		return fmt.Sprintf(`fn:count(db2-fn:xmlcolumn('ORDERS.ORDDOC')//lineitem/@price[. > 100.%03d])`, k)
+	}))
 }
 
-// FullWalk pre-filters documents and then re-evaluates the predicate
-// over every candidate node in each survivor; Seeded decodes the matched
-// ordinals during the same probe and prunes the operand path to the hit
-// nodes and their ancestors. The corpus is built so predicate
-// re-evaluation dominates — wide documents (80 lineitems) where only 2
-// match — which is exactly the case document granularity cannot help:
+// Seeded decodes the matched ordinals during a cold probe and prunes the
+// operand path to the hit nodes and their ancestors. The corpus is built
+// so predicate re-evaluation dominates — wide documents (80 lineitems)
+// where only 2 match — the case document granularity cannot help, as
 // every document survives the pre-filter.
-func BenchmarkSeededEval_FullWalk(b *testing.B) {
-	benchSeededEval(b, QueryOptions{NoNodeSeeds: true, NoProbeCache: true})
-}
-
 func BenchmarkSeededEval_Seeded(b *testing.B) {
-	benchSeededEval(b, QueryOptions{NoProbeCache: true})
-}
-
-func benchSeededEval(b *testing.B, opts QueryOptions) {
-	b.Helper()
 	db := Open()
 	db.MustExecSQL(`create table wide (ordid integer, doc xml)`)
 	var sb strings.Builder
@@ -599,17 +537,9 @@ func benchSeededEval(b *testing.B, opts QueryOptions) {
 	}
 	db.MustExecSQL(`create index w_price on wide(doc) using xmlpattern '//lineitem/@price' as double`)
 	db.UseIndexes = true
-	stmt, err := db.PrepareXQuery(`for $i in db2-fn:xmlcolumn('WIDE.DOC')//order[lineitem/@price > 77] return $i/@id`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := stmt.ExecOpts(opts); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchStmts(b, coldStmts(b, db, func(k int) string {
+		return fmt.Sprintf(`for $i in db2-fn:xmlcolumn('WIDE.DOC')//order[lineitem/@price > 77.%03d] return $i/@id`, k)
+	}))
 }
 
 // --- substrate micro-benchmarks ---

@@ -7,9 +7,7 @@
 //   - scan vs indexed        ("Scan"/"scan" ↔ "Indexed"/"indexed")
 //   - unprepared vs prepared ("Unprepared" ↔ "Prepared")
 //   - serial vs parallel     ("par=1" ↔ "par=8")
-//   - map vs posting lists   ("MapSets" ↔ "PostingLists")
 //   - cold vs cached probes  ("Cold" ↔ "Cached")
-//   - synopsis off vs on     ("SynopsisOff" ↔ "SynopsisOn")
 //
 // Each pair records the speedup ratio baseline_ns / variant_ns — above 1.0
 // means the variant (indexed, prepared, parallel) is faster. Usage:
@@ -104,12 +102,8 @@ var pairRules = []struct {
 	{"scan-vs-indexed", "scan", "indexed"},
 	{"unprepared-vs-prepared", "Unprepared", "Prepared"},
 	{"serial-vs-parallel", "par=1", "par=8"},
-	{"map-vs-postings", "MapSets", "PostingLists"},
 	{"cold-vs-cached", "Cold", "Cached"},
 	{"perrow-vs-streaming", "PerRowLoader", "StreamingPipeline"},
-	{"nosynopsis-vs-synopsis", "SynopsisOff", "SynopsisOn"},
-	{"docgranular-vs-nodegranular", "DocGranular", "NodeGranular"},
-	{"fullwalk-vs-seeded", "FullWalk", "Seeded"},
 }
 
 // median of one numeric field across a group of same-name benchmarks.

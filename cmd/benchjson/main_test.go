@@ -93,37 +93,17 @@ func TestPairsColdLoad(t *testing.T) {
 	}
 }
 
-// TestPairsSynopsis: the path-synopsis pair rule relates the NoSynopsis
-// baseline to the short-circuiting variant.
-func TestPairsSynopsis(t *testing.T) {
-	in := strings.NewReader(
-		"BenchmarkSynopsisShortCircuit/SynopsisOff-8   500   90000 ns/op\n" +
-			"BenchmarkSynopsisShortCircuit/SynopsisOn-8    500   45000 ns/op\n")
-	benches, err := parse(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := pairs(benches)
-	if len(ps) != 1 {
-		t.Fatalf("want one pair, got %+v", ps)
-	}
-	p := ps[0]
-	if p.Kind != "nosynopsis-vs-synopsis" || p.Ratio < 1.9 || p.Ratio > 2.1 {
-		t.Errorf("synopsis pair wrong: %+v", p)
-	}
-}
-
 // TestAggregateMedian: -agg median collapses repeated runs per name,
 // resists one noisy outlier, and preserves first-appearance order so
 // pairing still works downstream.
 func TestAggregateMedian(t *testing.T) {
 	in := strings.NewReader(
-		"BenchmarkX/SynopsisOff-8   100   1000 ns/op   64 B/op   2 allocs/op\n" +
-			"BenchmarkX/SynopsisOn-8    100    500 ns/op   32 B/op   1 allocs/op\n" +
-			"BenchmarkX/SynopsisOff-8   100   9000 ns/op   64 B/op   2 allocs/op\n" + // noisy outlier
-			"BenchmarkX/SynopsisOn-8    100    510 ns/op   32 B/op   1 allocs/op\n" +
-			"BenchmarkX/SynopsisOff-8   100   1100 ns/op   64 B/op   2 allocs/op\n" +
-			"BenchmarkX/SynopsisOn-8    100    490 ns/op   32 B/op   1 allocs/op\n")
+		"BenchmarkX/Cold-8   100   1000 ns/op   64 B/op   2 allocs/op\n" +
+			"BenchmarkX/Cached-8    100    500 ns/op   32 B/op   1 allocs/op\n" +
+			"BenchmarkX/Cold-8   100   9000 ns/op   64 B/op   2 allocs/op\n" + // noisy outlier
+			"BenchmarkX/Cached-8    100    510 ns/op   32 B/op   1 allocs/op\n" +
+			"BenchmarkX/Cold-8   100   1100 ns/op   64 B/op   2 allocs/op\n" +
+			"BenchmarkX/Cached-8    100    490 ns/op   32 B/op   1 allocs/op\n")
 	benches, err := parse(in)
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +115,10 @@ func TestAggregateMedian(t *testing.T) {
 	if len(agg) != 2 {
 		t.Fatalf("want 2 aggregated benchmarks, got %+v", agg)
 	}
-	if agg[0].Name != "BenchmarkX/SynopsisOff" || agg[0].NsPerOp != 1100 {
+	if agg[0].Name != "BenchmarkX/Cold" || agg[0].NsPerOp != 1100 {
 		t.Errorf("median must shrug off the 9000ns outlier: %+v", agg[0])
 	}
-	if agg[1].Name != "BenchmarkX/SynopsisOn" || agg[1].NsPerOp != 500 {
+	if agg[1].Name != "BenchmarkX/Cached" || agg[1].NsPerOp != 500 {
 		t.Errorf("odd-count median wrong: %+v", agg[1])
 	}
 	if agg[0].BytesPerOp != 64 || agg[0].AllocsPerOp != 2 {

@@ -102,8 +102,8 @@ type Stats struct {
 	// answered entirely from a node-granularity index probe, without
 	// touching documents.
 	IndexOnlyAnswered bool
-	// NodesDecoded totals the node references node-granularity probes
-	// decoded this execution (index-only answers and seed probes).
+	// NodesDecoded totals the node references this execution's index
+	// probes returned (semi-join probes excepted).
 	NodesDecoded int
 	// NodesSeeded totals the index-matched nodes installed as
 	// navigation seeds for probe-guided re-evaluation.
@@ -150,9 +150,9 @@ type probePlan struct {
 	// column's path set changes.
 	skip bool
 	// seeds lists the compared-operand paths this probe's hits may seed
-	// (the predicate's SeedPath, plus its between partner's). Non-empty
-	// seeds upgrade the probe to node granularity unless
-	// ExecOptions.NoNodeSeeds falls it back to the document level.
+	// (the predicate's SeedPath, plus its between partner's). Hits seed
+	// them unless the column holds schema-annotated documents
+	// (annotatedColumn).
 	seeds []*xquery.PathExpr
 	// seedSingle marks a probe whose compared path yields at most one
 	// node per context (single named-attribute step); seedScope is the
@@ -223,7 +223,7 @@ func (e *Engine) planProbes(a *core.Analysis) ([]probePlan, []predDecision, erro
 		// Check every candidate so the decision shows the whole field,
 		// not just the indexes up to the first eligible one.
 		for _, xi := range indexes {
-			d.verdicts = append(d.verdicts, core.CheckIndex(xi.Name, xi.Index.Pattern, indexCompat(xi.Index.Type), p))
+			d.verdicts = append(d.verdicts, core.CheckIndex(xi.Name, xi.Index.Pattern, xi.Index.Type, p))
 		}
 		switch {
 		case !p.Filtering:
@@ -342,9 +342,6 @@ func rankProbes(plans []probePlan) {
 		return ei < ej
 	})
 }
-
-// indexCompat adapts the storage index type to the analyzer's view.
-func indexCompat(t xmlindex.Type) xmlindex.Type { return t }
 
 // defaultSemiJoinCap bounds the number of distinct values a semi-join
 // probes when ExecOptions.SemiJoinMaxValues is unset; larger joins fall
@@ -505,9 +502,11 @@ func opRange(op xdm.CompareOp, v xdm.Value) (xmlindex.Range, bool) {
 // that aborts the query) stay deterministic regardless of scheduling.
 type probeOutcome struct {
 	docs postings.List
-	// nodes carries the node-granularity result when the probe ran for
-	// a seeded predicate; docs is then its document projection.
+	// nodes carries the probe's node hits (nil for a semi-join); docs is
+	// their document projection. seeded marks hits that seed the
+	// compared paths' re-evaluation.
 	nodes   postings.NodeList
+	seeded  bool
 	label   string
 	probes  int
 	visited int
@@ -532,7 +531,7 @@ type probeOutcome struct {
 // runProbe executes one probe plan to completion.
 func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.Time) probeOutcome {
 	out := probeOutcome{label: pl.label, t0: t0}
-	if pl.skip && !o.NoSynopsis {
+	if pl.skip {
 		// Short-circuit: the pattern matches no stored path, so the empty
 		// set is this probe's exact answer. The guard still gets its say —
 		// a canceled query must abort even when every probe is free.
@@ -562,7 +561,6 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 			probe := pl.probe
 			probe.Range = xmlindex.Equality(v)
 			probe.Guard = g
-			probe.NoCache = o.NoProbeCache
 			docs, visited, cached, perr := pl.index.DocList(probe)
 			out.probes++
 			out.visited += visited
@@ -584,32 +582,10 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 		out.label = fmt.Sprintf("%s, %d values)", strings.TrimSuffix(pl.label, ")"), len(values))
 		out.cached = allCached
 		out.ok = true
-	} else if len(pl.seeds) > 0 && !o.NoNodeSeeds && !e.annotatedColumn(pl) {
-		// Node granularity: the same scan also decodes ordinals, so the
-		// hits can seed re-evaluation. The document projection keeps the
-		// Definition-1 pre-filter identical to the doc-granular probe.
-		probe := pl.probe
-		probe.Guard = g
-		probe.NoCache = o.NoProbeCache
-		nodes, visited, cached, err := pl.index.NodeList(probe)
-		out.probes = 1
-		out.visited = visited
-		if err != nil {
-			if _, isViolation := guard.AsViolation(err); isViolation {
-				out.err = err
-			}
-			return out
-		}
-		out.nodes = nodes
-		out.docs = nodes.Docs()
-		out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(nodes))
-		out.cached = cached
-		out.ok = true
 	} else {
 		probe := pl.probe
 		probe.Guard = g
-		probe.NoCache = o.NoProbeCache
-		docs, visited, cached, err := pl.index.DocList(probe)
+		nodes, visited, cached, err := pl.index.NodeList(probe)
 		out.probes = 1
 		out.visited = visited
 		if err != nil {
@@ -621,7 +597,14 @@ func (e *Engine) runProbe(g *guard.Guard, pl probePlan, o ExecOptions, t0 time.T
 			// by type checking; treat as non-probeable rather than failing.
 			return out
 		}
-		out.docs = docs
+		out.nodes = nodes
+		out.docs = nodes.Docs()
+		if len(pl.seeds) > 0 && !e.annotatedColumn(pl) {
+			// The hits seed the compared paths' re-evaluation; the document
+			// projection above is the Definition-1 pre-filter either way.
+			out.seeded = true
+			out.label += fmt.Sprintf(" [node-granular: %d nodes]", len(nodes))
+		}
 		out.cached = cached
 		out.ok = true
 	}
@@ -704,7 +687,7 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 	// Merge serially in plan order.
 	occSets := map[occKey]postings.List{}
 	rowSets := map[int]postings.List{}
-	nodeOcc := map[occKey][]int{} // outcome indices that carry node hits
+	nodeOcc := map[occKey][]int{} // outcome indices whose hits seed
 	for i := range outcomes {
 		r := &outcomes[i]
 		stats.merge(&r.stats)
@@ -716,7 +699,7 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 		}
 		stats.Trace.add("probe", fmt.Sprintf("%s: %d keys, %d docs", r.label, r.visited, len(r.docs)), r.t0)
 		pl := plans[i]
-		if r.nodes != nil && pl.forRow < 0 {
+		if r.seeded {
 			nodeOcc[occKey{pl.coll, pl.occ}] = append(nodeOcc[occKey{pl.coll, pl.occ}], i)
 		}
 		if pl.forRow >= 0 {
@@ -751,6 +734,7 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 	// between two brackets observes the intermediate sequence, which
 	// intersection-pruned seeds would reshape.
 	var seeds xquery.Seeds
+	seedStart, seededBefore := stats.Trace.now(), stats.NodesSeeded
 	for k, idxs := range nodeOcc {
 		byScope := map[scopePat][]int{}
 		for _, i := range idxs {
@@ -789,6 +773,9 @@ func (e *Engine) runProbes(g *guard.Guard, plans []probePlan, a *core.Analysis, 
 				seeds[pe] = seed
 			}
 		}
+	}
+	if len(nodeOcc) > 0 && stats.Trace != nil {
+		stats.Trace.add("seed", fmt.Sprintf("%d nodes seed %d paths", stats.NodesSeeded-seededBefore, len(seeds)), seedStart)
 	}
 
 	// Occurrences of a collection that produced no probe poison the
@@ -947,20 +934,7 @@ func (e *Engine) ExecXQuery(query string, useIndexes bool) (xdm.Sequence, *Stats
 	return e.ExecXQueryOpts(query, ExecOptions{UseIndexes: useIndexes})
 }
 
-// ExecXQueryGuarded is ExecXQuery bounded by a per-query guard (nil =
-// unlimited). Panics inside planning or evaluation surface as Internal
-// guard violations, never as process crashes.
-func (e *Engine) ExecXQueryGuarded(g *guard.Guard, query string, useIndexes bool) (xdm.Sequence, *Stats, error) {
-	return e.ExecXQueryOpts(query, ExecOptions{Guard: g, UseIndexes: useIndexes})
-}
-
 // ExecSQL plans and runs a SQL/XML statement.
 func (e *Engine) ExecSQL(sql string, useIndexes bool) (*sqlxml.Result, *Stats, error) {
 	return e.ExecSQLOpts(sql, ExecOptions{UseIndexes: useIndexes})
-}
-
-// ExecSQLGuarded is ExecSQL bounded by a per-query guard (nil =
-// unlimited).
-func (e *Engine) ExecSQLGuarded(g *guard.Guard, sql string, useIndexes bool) (*sqlxml.Result, *Stats, error) {
-	return e.ExecSQLOpts(sql, ExecOptions{Guard: g, UseIndexes: useIndexes})
 }

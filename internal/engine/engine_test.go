@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/xqdb/xqdb/internal/storage"
 	"github.com/xqdb/xqdb/internal/xdm"
+	"github.com/xqdb/xqdb/internal/xmlparse"
+	"github.com/xqdb/xqdb/internal/xmlschema"
 )
 
 // newPaperDB builds the paper's schema with a generated order corpus:
@@ -352,6 +355,81 @@ func mustSQL(t *testing.T, e *Engine, sql string) {
 	if _, _, err := e.ExecSQL(sql, false); err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
+}
+
+// coldDoc matches every XML index the equivalence properties create.
+const coldDoc = `<order><custid>-1</custid><lineitem price="-1"><price>-1</price></lineitem></order>`
+
+// coldProbeCaches empties every probe cache of the given (ordid, orddoc)
+// tables: a document each of their indexes matches goes in and out
+// again, so every index's entry set changes twice and ends where it
+// began, and the next probe of each index scans.
+func coldProbeCaches(t *testing.T, e *Engine, tables ...string) {
+	t.Helper()
+	for _, tab := range tables {
+		mustSQL(t, e, fmt.Sprintf(`insert into %s values (999999, '%s')`, tab, coldDoc))
+		mustSQL(t, e, fmt.Sprintf(`delete from %s where ordid = 999999`, tab))
+	}
+}
+
+// annotateTables stores one schema-validated document in each of the
+// given (ordid, orddoc) tables. An annotated document in a column turns
+// off index-only answers and node seeding there at execution time, so
+// the equivalence properties rerun their queries over this variant to
+// cover the document-granular fallback.
+func annotateTables(t *testing.T, e *Engine, tables ...string) {
+	t.Helper()
+	for i, name := range tables {
+		doc, err := xmlparse.Parse(`<order><custid>3</custid><lineitem price="150"><price>150</price><product><id>3</id></product></lineitem></order>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := xmlschema.New("typed").Declare("@price", xdm.Double).Declare("price", xdm.Double).Validate(doc); err != nil {
+			t.Fatal(err)
+		}
+		tab, err := e.Catalog.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tab.Insert([]storage.Cell{{V: xdm.NewInteger(int64(500000 + i))}, {Doc: doc}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// equivalenceCheck runs each query under each option set twice, first
+// with every probe cache of the tables cold and then warm, and requires
+// the bytes of the serial full scan (UseIndexes=false, Parallelism 1).
+// It returns the Stats of every indexed run, for coverage checks.
+func equivalenceCheck(t *testing.T, e *Engine, tables []string, queries []string, opts []ExecOptions) []*Stats {
+	t.Helper()
+	var all []*Stats
+	for _, q := range queries {
+		full, _, err := e.ExecXQueryOpts(q, ExecOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s full scan: %v", q, err)
+		}
+		want := xdm.SerializeSequence(full)
+		for _, o := range opts {
+			for _, run := range []string{"cold", "warm"} {
+				if run == "cold" {
+					coldProbeCaches(t, e, tables...)
+				}
+				seq, stats, err := e.ExecXQueryOpts(q, o)
+				if err != nil {
+					t.Fatalf("%s under %+v (%s): %v", q, o, run, err)
+				}
+				if got := xdm.SerializeSequence(seq); got != want {
+					t.Fatalf("%s: options %+v (%s cache) changed the result\nwant %s\ngot  %s", q, o, run, want, got)
+				}
+				if run == "cold" && strings.Contains(strings.Join(stats.IndexesUsed, " "), "[cached]") {
+					t.Fatalf("%s: cold run served from the probe cache: %v", q, stats.IndexesUsed)
+				}
+				all = append(all, stats)
+			}
+		}
+	}
+	return all
 }
 
 func TestFnCollectionAlias(t *testing.T) {

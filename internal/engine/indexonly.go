@@ -83,7 +83,7 @@ func (e *Engine) planIndexOnly(iq *core.IndexOnlyQuery) *indexOnlySpec {
 // their existence. ok=false — annotated documents present, probe bound
 // does not cast — falls through to normal evaluation; only guard
 // violations abort.
-func (e *Engine) answerIndexOnly(spec *indexOnlySpec, g *guard.Guard, o ExecOptions, stats *Stats) (xdm.Sequence, bool, error) {
+func (e *Engine) answerIndexOnly(spec *indexOnlySpec, g *guard.Guard, stats *Stats) (xdm.Sequence, bool, error) {
 	if spec.table.HasAnnotatedDocs(spec.column) {
 		// Typed values can raise comparison errors the tolerant index
 		// never recorded; only untyped corpora compare exactly like the
@@ -92,7 +92,6 @@ func (e *Engine) answerIndexOnly(spec *indexOnlySpec, g *guard.Guard, o ExecOpti
 	}
 	probe := spec.probe
 	probe.Guard = g
-	probe.NoCache = o.NoProbeCache
 	t0 := stats.Trace.now()
 	nodes, visited, cached, err := spec.index.NodeList(probe)
 	stats.Probes++

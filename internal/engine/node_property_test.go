@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"github.com/xqdb/xqdb/internal/xdm"
 )
 
-// Node-granularity features are pure optimizations: every combination of
-// the disabling knobs, at any parallelism, must serialize to the exact
-// bytes of the plain full scan.
+// Node-granularity features are pure optimizations: every query, with a
+// cold and a warm probe cache, prepared or not, traced or not, at any
+// parallelism, and over an untyped corpus (index-only answers and node
+// seeding on) as well as one holding an annotated document (both off),
+// must serialize to the exact bytes of the serial full scan.
 func TestNodeGranularEquivalenceProperty(t *testing.T) {
 	e := newPaperDB(t, 120)
 	createLiPrice(t, e)
@@ -59,36 +59,28 @@ func TestNodeGranularEquivalenceProperty(t *testing.T) {
 		`for $d in db2-fn:xmlcolumn('MLORD.ORDDOC')/order where $d/lineitem[@price > 5] return $d/lineitem[@price < 3]`,
 		`for $d in db2-fn:xmlcolumn('MLORD.ORDDOC')/order where $d/lineitem[@price > 5] and $d/lineitem[@price < 3] return $d`,
 	}
-	for _, q := range queries {
-		full, _, err := e.ExecXQuery(q, false)
-		if err != nil {
-			t.Fatalf("%s full scan: %v", q, err)
+	// Every ExecOptions boolean knob is in the matrix — the knobmatrix
+	// analyzer enforces that. A cached plan and a traced run may take
+	// distinct code paths but never distinct results.
+	var opts []ExecOptions
+	for mask := 0; mask < 4; mask++ {
+		for _, par := range []int{1, 4} {
+			opts = append(opts, ExecOptions{UseIndexes: true, Prepared: mask&1 != 0, Trace: mask&2 != 0, Parallelism: par})
 		}
-		want := xdm.SerializeSequence(full)
-		// Every ExecOptions boolean knob is in the mask — the knobmatrix
-		// analyzer enforces that. Prepared and Trace must be equivalence-
-		// preserving too: a cached plan and a traced run may take distinct
-		// code paths but never distinct results.
-		for mask := 0; mask < 64; mask++ {
-			for _, par := range []int{1, 4} {
-				o := ExecOptions{
-					UseIndexes:   true,
-					NoIndexOnly:  mask&1 != 0,
-					NoNodeSeeds:  mask&2 != 0,
-					NoSynopsis:   mask&4 != 0,
-					NoProbeCache: mask&8 != 0,
-					Prepared:     mask&16 != 0,
-					Trace:        mask&32 != 0,
-					Parallelism:  par,
-				}
-				seq, _, err := e.ExecXQueryOpts(q, o)
-				if err != nil {
-					t.Fatalf("%s under %+v: %v", q, o, err)
-				}
-				if got := xdm.SerializeSequence(seq); got != want {
-					t.Fatalf("%s: options %+v changed the result\nwant %s\ngot  %s", q, o, want, got)
-				}
-			}
+	}
+	tables := []string{"orders", "elord", "mlord"}
+	var indexOnly, seeded bool
+	for _, st := range equivalenceCheck(t, e, tables, queries, opts) {
+		indexOnly = indexOnly || st.IndexOnlyAnswered
+		seeded = seeded || st.NodesSeeded > 0
+	}
+	if !indexOnly || !seeded {
+		t.Fatalf("untyped corpus: index-only answered %v, seeded %v; want both", indexOnly, seeded)
+	}
+	annotateTables(t, e, tables...)
+	for _, st := range equivalenceCheck(t, e, tables, queries, opts) {
+		if st.IndexOnlyAnswered || st.NodesSeeded > 0 {
+			t.Fatalf("annotated corpus: index-only answered %v, seeded %d nodes; want neither", st.IndexOnlyAnswered, st.NodesSeeded)
 		}
 	}
 }

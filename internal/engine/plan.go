@@ -45,25 +45,6 @@ type ExecOptions struct {
 	// gathers before degrading to a full scan; <= 0 means the default
 	// (4096).
 	SemiJoinMaxValues int
-	// NoProbeCache bypasses the per-index probe-result cache (neither
-	// read nor populated) — the uncached baseline for benchmarks and
-	// determinism tests.
-	NoProbeCache bool
-	// NoSynopsis disables the path-synopsis execution paths: probes the
-	// planner marked as short-circuited run against the index anyway,
-	// and structural-only queries evaluate normally. The no-synopsis
-	// baseline for benchmarks and equivalence tests. (Probe ranking is a
-	// plan-time property and is unaffected — it never changes results.)
-	NoSynopsis bool
-	// NoIndexOnly disables index-only answers: fn:count/fn:exists over
-	// a value predicate evaluates normally even when a node-granularity
-	// probe could answer it. The doc-granular baseline for benchmarks
-	// and equivalence tests.
-	NoIndexOnly bool
-	// NoNodeSeeds disables probe-guided re-evaluation: probes run at
-	// document granularity only and the evaluator walks every candidate
-	// node instead of jumping to index hits. The full-walk baseline.
-	NoNodeSeeds bool
 }
 
 // plan is a prepared execution plan — everything derivable from the query
@@ -326,7 +307,7 @@ func newStats(o ExecOptions) *Stats {
 
 func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Sequence, *Stats, error) {
 	g := o.Guard
-	if p.structural != nil && !o.NoSynopsis {
+	if p.structural != nil {
 		if seq, ok := e.answerStructural(p.structural, stats); ok {
 			if err := g.Check(); err != nil {
 				return nil, nil, err
@@ -334,8 +315,8 @@ func (e *Engine) execXQueryPlan(p *plan, o ExecOptions, stats *Stats) (xdm.Seque
 			return seq, stats, nil
 		}
 	}
-	if p.indexOnly != nil && !o.NoIndexOnly {
-		seq, ok, err := e.answerIndexOnly(p.indexOnly, g, o, stats)
+	if p.indexOnly != nil {
+		seq, ok, err := e.answerIndexOnly(p.indexOnly, g, stats)
 		if err != nil {
 			return nil, nil, err
 		}

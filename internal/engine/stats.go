@@ -107,9 +107,7 @@ func (pl probePlan) statsDelta(r *probeOutcome) Stats {
 		return s
 	}
 	s.IndexesUsed = []string{r.label}
-	if r.nodes != nil {
-		s.NodesDecoded = len(r.nodes)
-	}
+	s.NodesDecoded = len(r.nodes)
 	if r.skipped {
 		s.SynopsisSkips = 1
 	}

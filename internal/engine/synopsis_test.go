@@ -41,18 +41,6 @@ func TestSynopsisShortCircuitSkipsProbe(t *testing.T) {
 		t.Fatalf("synopsis.shortcircuits = %d, want 1", got)
 	}
 
-	// The NoSynopsis baseline runs the probe for real and agrees.
-	seq2, stats2, err := e.ExecXQueryOpts(skipQuery, ExecOptions{UseIndexes: true, NoSynopsis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq2) != 0 || stats2.SynopsisSkips != 0 {
-		t.Fatalf("NoSynopsis run: %d items, %d skips", len(seq2), stats2.SynopsisSkips)
-	}
-	if stats2.Probes == 0 {
-		t.Fatal("NoSynopsis run did not probe the index")
-	}
-
 	assertEquivalentXQ(t, e, skipQuery)
 }
 
@@ -203,13 +191,10 @@ func TestStructuralOnlyAnsweredFromSynopsis(t *testing.T) {
 			t.Fatalf("%s: IndexesUsed = %v", c.query, stats.IndexesUsed)
 		}
 
-		// The evaluated baseline agrees item for item.
-		base, bstats, err := e.ExecXQueryOpts(c.query, ExecOptions{UseIndexes: true, NoSynopsis: true})
+		// The evaluated full scan agrees item for item.
+		base, _, err := e.ExecXQuery(c.query, false)
 		if err != nil {
-			t.Fatalf("%s baseline: %v", c.query, err)
-		}
-		if bstats.SynopsisAnswered {
-			t.Fatalf("%s: NoSynopsis run still answered from the synopsis", c.query)
+			t.Fatalf("%s full scan: %v", c.query, err)
 		}
 		if xdm.SerializeSequence(base) != xdm.SerializeSequence(seq) {
 			t.Fatalf("%s: synopsis answer %s != evaluated %s", c.query, xdm.SerializeSequence(seq), xdm.SerializeSequence(base))
@@ -253,8 +238,9 @@ func TestExplainMarksStructuralOnly(t *testing.T) {
 }
 
 // Ranking and short-circuiting change probe order and probe work — never
-// results. Sweep a matrix of option combinations over the same query set
-// and require byte-identical output.
+// results. Run the query set cold and warm, serial and parallel, over an
+// untyped corpus and one holding an annotated document, and require the
+// bytes of the serial full scan.
 func TestSynopsisEquivalenceProperty(t *testing.T) {
 	e := newPaperDB(t, 90)
 	createLiPrice(t, e)
@@ -268,27 +254,20 @@ func TestSynopsisEquivalenceProperty(t *testing.T) {
 		`fn:exists(db2-fn:xmlcolumn('ORDERS.ORDDOC')//archived)`,
 	}
 	opts := []ExecOptions{
-		{UseIndexes: false},
-		{UseIndexes: true},
-		{UseIndexes: true, NoSynopsis: true},
+		{UseIndexes: true, Parallelism: 1},
 		{UseIndexes: true, Parallelism: 4},
-		{UseIndexes: true, NoSynopsis: true, NoProbeCache: true, Parallelism: 4},
 	}
-	for _, q := range queries {
-		var want string
-		for i, o := range opts {
-			seq, _, err := e.ExecXQueryOpts(q, o)
-			if err != nil {
-				t.Fatalf("%s under %+v: %v", q, o, err)
-			}
-			got := xdm.SerializeSequence(seq)
-			if i == 0 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("%s: options %+v changed the result\nwant %s\ngot  %s", q, o, want, got)
-			}
+	check := func(variant string) {
+		var skipped, answered bool
+		for _, st := range equivalenceCheck(t, e, []string{"orders"}, queries, opts) {
+			skipped = skipped || st.SynopsisSkips > 0
+			answered = answered || st.SynopsisAnswered
+		}
+		if !skipped || !answered {
+			t.Fatalf("%s corpus: synopsis skipped %v, answered %v; want both", variant, skipped, answered)
 		}
 	}
+	check("untyped")
+	annotateTables(t, e, "orders")
+	check("annotated")
 }

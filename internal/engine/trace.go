@@ -10,7 +10,7 @@ import (
 // Span is one timed step of a query's execution, offset-relative to the
 // start of the query so spans can be laid out on a single timeline.
 type Span struct {
-	// Name is the step kind: plan, probe, relprobe, eval, scan, merge.
+	// Name is the step kind: plan, probe, seed, eval, scan, merge.
 	Name string
 	// Start is the offset from the beginning of the query.
 	Start time.Duration

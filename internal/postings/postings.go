@@ -1,6 +1,6 @@
 // Package postings implements sorted document-id posting lists and the
 // set operations the probe pipeline combines them with: galloping
-// (exponential-search) intersection, k-way merge union, and difference.
+// (exponential-search) intersection and k-way merge union.
 // A List replaces the map[uint32]bool document sets the engine used to
 // build per probe — combination runs over sorted slices with no hashing
 // and no per-element map allocations, and results stay sorted, so the
@@ -82,33 +82,6 @@ func sortIDs(ids []uint32) {
 	}
 }
 
-// FromRuns builds a List from a concatenation of strictly ascending
-// runs — the shape a composite-key B+Tree scan emits once adjacent
-// duplicates are dropped: doc ids ascend within each (value, path) run
-// and restart at run boundaries. A single-run (already sorted) input is
-// returned as-is with no copy or sort — the common case for equality
-// probes and single-path indexes; two runs take one linear merge; more
-// take the full sort. The input slice is taken over and must not be
-// reused by the caller; adjacent elements must not be equal.
-func FromRuns(ids []uint32) List {
-	if len(ids) == 0 {
-		return List{}
-	}
-	split := 0 // start of the second run, if any
-	for i := 1; i < len(ids); i++ {
-		if ids[i] < ids[i-1] {
-			if split > 0 { // three or more runs: sort wins
-				return FromUnsorted(ids)
-			}
-			split = i
-		}
-	}
-	if split == 0 {
-		return List(ids)
-	}
-	return union2(ids[:split], ids[split:])
-}
-
 // Contains reports whether x is in the list (binary search).
 func (l List) Contains(x uint32) bool {
 	lo, hi := 0, len(l)
@@ -179,27 +152,6 @@ func Intersect(a, b List) List {
 			out = append(out, x)
 			j++
 		}
-	}
-	return out
-}
-
-// Difference returns the ids of a that are not in b.
-func Difference(a, b List) List {
-	if len(a) == 0 {
-		return List{}
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make(List, 0, len(a))
-	j := 0
-	//xqvet:unbounded-ok bounded in-memory set kernel; callers guard per probe, not per element
-	for _, x := range a {
-		j = gallop(b, j, x)
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		out = append(out, x)
 	}
 	return out
 }

@@ -45,16 +45,6 @@ func refUnion(sets ...map[uint32]bool) map[uint32]bool {
 	return out
 }
 
-func refDifference(a, b map[uint32]bool) map[uint32]bool {
-	out := map[uint32]bool{}
-	for x := range a {
-		if !b[x] {
-			out[x] = true
-		}
-	}
-	return out
-}
-
 func equal(a, b List) bool {
 	if len(a) != len(b) {
 		return false
@@ -105,12 +95,8 @@ func TestOpsAgainstMapReference(t *testing.T) {
 		if got, want := Union(a, b, c), refToList(refUnion(ma, mb, mc)); !equal(got, want) {
 			t.Fatalf("trial %d: Union = %v, want %v", trial, got, want)
 		}
-		if got, want := Difference(a, b), refToList(refDifference(ma, mb)); !equal(got, want) {
-			t.Fatalf("trial %d: Difference(%v, %v) = %v, want %v", trial, a, b, got, want)
-		}
 		assertInvariants(t, Intersect(a, b))
 		assertInvariants(t, Union(a, b, c))
-		assertInvariants(t, Difference(a, b))
 
 		// Contains must agree with the reference membership for both
 		// present and absent ids.
@@ -156,12 +142,6 @@ func TestEdgeCases(t *testing.T) {
 	if got := Union(a); !equal(got, a) {
 		t.Fatalf("Union of one list must return it, got %v", got)
 	}
-	if got := Difference(a, empty); !equal(got, a) {
-		t.Fatalf("Difference against empty must return a, got %v", got)
-	}
-	if got := Difference(a, a); len(got) != 0 {
-		t.Fatalf("Difference with itself must be empty, got %v", got)
-	}
 	if got := Intersect(a, a); !equal(got, a) {
 		t.Fatalf("Intersect with itself must equal a, got %v", got)
 	}
@@ -204,43 +184,6 @@ func TestSortIDsAgainstComparisonSort(t *testing.T) {
 		if !equal(List(ids), List(want)) {
 			t.Fatalf("trial %d (n=%d span=%d): radix sort diverged", trial, n, span)
 		}
-	}
-}
-
-// FromRuns consumes what docCollector emits: strictly ascending runs
-// concatenated back to back. It must agree with the map reference and
-// keep the zero-copy single-run fast path.
-func TestFromRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 300; trial++ {
-		nRuns := 1 + rng.Intn(6)
-		var ids []uint32
-		ref := map[uint32]bool{}
-		for r := 0; r < nRuns; r++ {
-			doc := uint32(rng.Intn(50))
-			for i, n := 0, rng.Intn(40); i < n; i++ {
-				doc += 1 + uint32(rng.Intn(4))
-				// A run boundary may continue ascending from the previous
-				// run's tail; only adjacent equals are forbidden.
-				if m := len(ids); m > 0 && ids[m-1] == doc {
-					continue
-				}
-				ids = append(ids, doc)
-				ref[doc] = true
-			}
-		}
-		got := FromRuns(append([]uint32(nil), ids...))
-		if want := refToList(ref); !equal(got, want) {
-			t.Fatalf("trial %d: FromRuns(%v) = %v, want %v", trial, ids, got, want)
-		}
-		assertInvariants(t, got)
-	}
-	if FromRuns(nil) == nil {
-		t.Fatal("FromRuns(nil) must be non-nil empty")
-	}
-	sorted := []uint32{3, 7, 9}
-	if got := FromRuns(sorted); &got[0] != &sorted[0] {
-		t.Fatal("single-run input must be returned without copying")
 	}
 }
 

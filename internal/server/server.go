@@ -327,8 +327,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // execute routes one admitted request into the engine. Repeatable
 // statements go through Prepare so sessions share the plan cache;
-// one-shot writes (DDL, INSERT) execute unprepared so their unique
-// texts do not churn the LRU.
+// one-shot writes (DDL, INSERT, DELETE) execute unprepared so their
+// unique texts do not churn the LRU.
 func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result, *xqdb.Stats, error) {
 	lang := strings.ToLower(req.Language)
 	if lang == "" {
@@ -362,7 +362,7 @@ func (s *Server) execute(req QueryRequest, opts xqdb.QueryOptions) (*xqdb.Result
 // else is treated as XQuery.
 var sqlHeads = map[string]bool{
 	"select": true, "create": true, "drop": true, "insert": true,
-	"values": true, "explain": true,
+	"delete": true, "values": true, "explain": true,
 }
 
 func detectLanguage(q string) string {
@@ -378,7 +378,7 @@ func detectLanguage(q string) string {
 func preparableSQL(q string) bool {
 	head, _, _ := strings.Cut(strings.TrimSpace(q), " ")
 	switch strings.ToLower(head) {
-	case "create", "drop", "insert":
+	case "create", "drop", "insert", "delete":
 		return false
 	}
 	return true

@@ -106,6 +106,19 @@ func TestQueryEndpoint(t *testing.T) {
 	if len(resp.Stats.IndexesUsed) == 0 {
 		t.Fatalf("index not used: %+v", resp.Stats)
 	}
+
+	// DELETE auto-detected as SQL, and its one-shot plan not cached.
+	w = post(t, s, "/query", QueryRequest{Query: `delete from orders where ordid = 5`})
+	if w.Code != http.StatusOK {
+		t.Fatalf("delete status = %d: %s", w.Code, w.Body.String())
+	}
+	if got := decode[QueryResponse](t, w).Stats.PlanCache; got != "bypass" {
+		t.Fatalf("delete plan cache = %q, want bypass", got)
+	}
+	w = post(t, s, "/query", QueryRequest{Query: `select ordid from orders`})
+	if rows := decode[QueryResponse](t, w).Rows; len(rows) != 19 {
+		t.Fatalf("after delete: %d rows, want 19", len(rows))
+	}
 }
 
 func TestQueryBadRequests(t *testing.T) {

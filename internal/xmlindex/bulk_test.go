@@ -9,6 +9,7 @@ import (
 	"github.com/xqdb/xqdb/internal/btree"
 	"github.com/xqdb/xqdb/internal/metrics"
 	"github.com/xqdb/xqdb/internal/pattern"
+	"github.com/xqdb/xqdb/internal/postings"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlparse"
 	"github.com/xqdb/xqdb/internal/xmlschema"
@@ -32,14 +33,15 @@ func orderDoc(i int) string {
 	return fmt.Sprintf(`<order><lineitem price="%d"/><lineitem price="%d.25"/></order>`, i, i+1000)
 }
 
-// scanAll dumps every entry of a structural (unbounded) probe.
-func scanAll(t *testing.T, ix *Index) []Entry {
+// nodesOf runs an uncached NodeList probe.
+func nodesOf(t *testing.T, ix *Index, p Probe) postings.NodeList {
 	t.Helper()
-	entries, err := ix.Scan(Probe{})
+	p.NoCache = true
+	nodes, _, _, err := ix.NodeList(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return entries
+	return nodes
 }
 
 // TestExtractorBulkEquivalence loads one corpus through InsertDoc and
@@ -51,10 +53,12 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 	ref := New("li", pattern.MustParse("//lineitem/@price"), Double)
 	bulk := New("li", pattern.MustParse("//lineitem/@price"), Double)
 
+	corpus := map[uint32]*xdm.Node{}
 	// Pre-existing rows on both sides: the bulk path must merge with,
 	// not replace, what is already indexed.
 	for id := uint32(1); id <= 3; id++ {
 		doc := mustDoc(t, orderDoc(int(id)))
+		corpus[id] = doc
 		if err := ref.InsertDoc(id, doc); err != nil {
 			t.Fatal(err)
 		}
@@ -67,6 +71,7 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 	exts := []*Extractor{bulk.NewExtractor(), bulk.NewExtractor(), bulk.NewExtractor()}
 	for id := uint32(4); id <= docs; id++ {
 		doc := mustDoc(t, orderDoc(int(id)))
+		corpus[id] = doc
 		if err := ref.InsertDoc(id, doc); err != nil {
 			t.Fatal(err)
 		}
@@ -92,10 +97,8 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 	if r, b := ref.Stats().Entries, bulk.Stats().Entries; r != b || bb.Delta() != b-pre {
 		t.Fatalf("entries: ref %d, bulk %d, delta %d", r, b, bb.Delta())
 	}
-	if got, want := scanAll(t, bulk), scanAll(t, ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("structural scan diverged:\nbulk %v\nref  %v", got, want)
-	}
 	for _, p := range []Probe{
+		{}, // structural: every entry
 		{Range: Equality(xdm.NewDouble(7))},
 		{Range: Range{Lo: dbl(1000), LoInc: true}},
 		{Range: Range{Lo: dbl(5), Hi: dbl(20), LoInc: true, HiInc: false}},
@@ -104,27 +107,12 @@ func TestExtractorBulkEquivalence(t *testing.T) {
 		// a wrong remap mislabels paths and filters the wrong entries.
 		{QueryPattern: pattern.MustParse("/order/archive/lineitem/@price")},
 	} {
-		want, err := ref.Scan(p)
-		if err != nil {
-			t.Fatal(err)
+		want := oracleNodes(t, ref, corpus, p)
+		if got := nodesOf(t, ref, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("probe %+v: incremental index %v, oracle %v", p, got, want)
 		}
-		got, err := bulk.Scan(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("probe %+v diverged:\nbulk %v\nref  %v", p, got, want)
-		}
-		wd, _, _, err := ref.DocList(Probe{Range: p.Range, QueryPattern: p.QueryPattern, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gd, _, _, err := bulk.DocList(Probe{Range: p.Range, QueryPattern: p.QueryPattern, NoCache: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gd, wd) {
-			t.Fatalf("doc list for %+v diverged: bulk %v, ref %v", p, gd, wd)
+		if got := nodesOf(t, bulk, p); !reflect.DeepEqual(got, want) {
+			t.Fatalf("probe %+v: bulk index %v, oracle %v", p, got, want)
 		}
 	}
 }
@@ -251,7 +239,7 @@ func TestCommitBulkCarriesInstruments(t *testing.T) {
 		t.Fatalf("entries gauge = %d, want 1", got)
 	}
 	before := reg.Counter("btree.scans").Value()
-	if _, err := ix.Scan(Probe{NoCache: true}); err != nil {
+	if _, _, _, err := ix.NodeList(Probe{NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("btree.scans").Value(); got != before+1 {

@@ -2,6 +2,7 @@ package xmlindex
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/xqdb/xqdb/internal/metrics"
@@ -31,12 +32,12 @@ func TestExclusiveLoAtMaxEncodingReturnsNothing(t *testing.T) {
 	insert(t, ix, 2, `<order><lineitem price="80"/></order>`)
 
 	p := Probe{Range: Range{Lo: allFFValue(), LoInc: false}}
-	entries, visited, err := ix.ScanStats(p)
+	nodes, visited, cached, err := ix.NodeList(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 || visited != 0 {
-		t.Fatalf("exclusive > max-encoding must match nothing, got %d entries (%d visited)", len(entries), visited)
+	if len(nodes) != 0 || visited != 0 || cached {
+		t.Fatalf("exclusive > max-encoding must match nothing, got %v (visited %d, cached %v)", nodes, visited, cached)
 	}
 	docs, visited, cached, err := ix.DocList(p)
 	if err != nil {
@@ -47,51 +48,60 @@ func TestExclusiveLoAtMaxEncodingReturnsNothing(t *testing.T) {
 	}
 	// The sentinel must not degrade the inclusive form: >= max-encoding
 	// scans normally (and here matches nothing real either).
-	if _, _, err := ix.ScanStats(Probe{Range: Range{Lo: allFFValue(), LoInc: true}}); err != nil {
+	if _, _, _, err := ix.NodeList(Probe{Range: Range{Lo: allFFValue(), LoInc: true}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// DocList must agree with the map-based docSet reference on every probe
-// shape — it is the streaming form of the same Definition-1 pre-filter.
+// oracleCorpus indexes a small corpus with several lineitems per order,
+// a non-lineitem price and a deeper path, and returns the documents for
+// the brute-force oracle.
+func oracleCorpus(t *testing.T, ix *Index) map[uint32]*xdm.Node {
+	t.Helper()
+	docs := map[uint32]*xdm.Node{}
+	for id, src := range map[uint32]string{
+		3: `<order><lineitem price="150"/><lineitem price="90"/></order>`,
+		1: `<order><lineitem price="110"/><lineitem price="120"/></order>`,
+		2: `<order><lineitem price="50"/></order>`,
+		7: `<order><other price="150"/></order>`,
+		9: `<quote><archive><lineitem price="130"/></archive><lineitem price="20 USD"/></quote>`,
+	} {
+		docs[id] = insert(t, ix, id, src)
+	}
+	return docs
+}
+
+// oracleProbes covers every probe shape: exclusive and inclusive
+// bounds, equality, structural, and a query pattern narrower than the
+// index pattern.
+var oracleProbes = []Probe{
+	{Range: Range{Lo: dbl(100), LoInc: false}},
+	{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
+	{Range: Range{Lo: dbl(90), Hi: dbl(130)}},
+	{Range: Equality(xdm.NewDouble(150))},
+	{},
+	{Range: Range{Lo: dbl(100)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
+	{QueryPattern: pattern.MustParse("//archive/lineitem/@price")},
+}
+
+// DocList must return exactly the document set the brute-force oracle
+// derives, sorted and distinct, on every probe shape — cold and from the
+// cache.
 func TestDocListMatchesDocSet(t *testing.T) {
 	ix := liPrice(t)
-	insert(t, ix, 3, `<order><lineitem price="150"/><lineitem price="90"/></order>`)
-	insert(t, ix, 1, `<order><lineitem price="110"/><lineitem price="120"/></order>`)
-	insert(t, ix, 2, `<order><lineitem price="50"/></order>`)
-	insert(t, ix, 7, `<order><other price="150"/></order>`)
-
-	probes := []Probe{
-		{Range: Range{Lo: dbl(100), LoInc: false}},
-		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
-		{Range: Equality(xdm.NewDouble(150))},
-		{}, // structural: full range
-		{Range: Range{Lo: dbl(100)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
-	}
-	for i, p := range probes {
-		want, _, err := docSetStats(ix, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.NoCache = true
-		got, _, cached, err := ix.DocList(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cached {
-			t.Fatalf("probe %d: NoCache probe reported cached", i)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("probe %d: DocList %v vs DocSet %v", i, got, want)
-		}
-		for _, id := range got {
-			if !want[id] {
-				t.Fatalf("probe %d: DocList has %d, DocSet %v", i, id, want)
+	corpus := oracleCorpus(t, ix)
+	for i, p := range oracleProbes {
+		want := oracleNodes(t, ix, corpus, p).Docs()
+		for _, warm := range []bool{false, true} {
+			got, _, cached, err := ix.DocList(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for j := 1; j < len(got); j++ {
-			if got[j] <= got[j-1] {
-				t.Fatalf("probe %d: DocList not strictly ascending: %v", i, got)
+			if cached != warm {
+				t.Fatalf("probe %d: cached = %v on the %s run", i, cached, map[bool]string{false: "cold", true: "warm"}[warm])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("probe %d: DocList %v, oracle %v", i, got, want)
 			}
 		}
 	}
@@ -132,8 +142,8 @@ func TestProbeCacheHitAndInvalidation(t *testing.T) {
 	if cached || visited == 0 {
 		t.Fatalf("first probe must scan: cached=%v visited=%d", cached, visited)
 	}
-	if !ix.ProbeCached(p) {
-		t.Fatal("ProbeCached must see the stored result")
+	if !ix.Cached(p) {
+		t.Fatal("Cached must see the stored result")
 	}
 	warm, visited, cached, err := ix.DocList(p)
 	if err != nil {
@@ -148,8 +158,8 @@ func TestProbeCacheHitAndInvalidation(t *testing.T) {
 
 	// An insert that changes the entry set invalidates the cached probe.
 	insert(t, ix, 3, `<order><lineitem price="120"/></order>`)
-	if ix.ProbeCached(p) {
-		t.Fatal("ProbeCached must report stale after an entry-set change")
+	if ix.Cached(p) {
+		t.Fatal("Cached must report stale after an entry-set change")
 	}
 	after, _, cached, err := ix.DocList(p)
 	if err != nil {
@@ -231,7 +241,7 @@ func TestProbeCacheConfiguredCapacity(t *testing.T) {
 		t.Fatalf("cache holds %d entries, want the configured cap 3", n)
 	}
 	// The most recent probes survive; the cold end is gone.
-	if !ix.ProbeCached(probe(9)) || ix.ProbeCached(probe(0)) {
+	if !ix.Cached(probe(9)) || ix.Cached(probe(0)) {
 		t.Fatal("eviction must drop the cold end and keep the hot end")
 	}
 	// Shrinking below the live count evicts immediately.
@@ -247,24 +257,19 @@ func TestProbeCacheConfiguredCapacity(t *testing.T) {
 }
 
 // Distinct bounds must never collide to one cache key: the key uses
-// the result granularity, length-prefixed bound encodings, and the
-// query-pattern source.
+// length-prefixed bound encodings and the query-pattern source.
 func TestProbeKeyDistinguishesBounds(t *testing.T) {
 	keys := map[string]bool{
-		probeKey(granDocs, []byte{1, 2}, []byte{3}, nil):                     true,
-		probeKey(granDocs, []byte{1}, []byte{2, 3}, nil):                     true,
-		probeKey(granDocs, []byte{1, 2, 3}, nil, nil):                        true,
-		probeKey(granDocs, nil, []byte{1, 2, 3}, nil):                        true,
-		probeKey(granDocs, nil, nil, nil):                                    true,
-		probeKey(granDocs, nil, nil, pattern.MustParse("//lineitem/@price")): true,
-		probeKey(granDocs, nil, nil, pattern.MustParse("/order/lineitem")):   true,
-		// A node-granularity probe over identical bounds+pattern gets its
-		// own entry.
-		probeKey(granNodes, nil, nil, pattern.MustParse("/order/lineitem")): true,
-		probeKey(granNodes, nil, nil, nil):                                  true,
+		probeKey([]byte{1, 2}, []byte{3}, nil):                     true,
+		probeKey([]byte{1}, []byte{2, 3}, nil):                     true,
+		probeKey([]byte{1, 2, 3}, nil, nil):                        true,
+		probeKey(nil, []byte{1, 2, 3}, nil):                        true,
+		probeKey(nil, nil, nil):                                    true,
+		probeKey(nil, nil, pattern.MustParse("//lineitem/@price")): true,
+		probeKey(nil, nil, pattern.MustParse("/order/lineitem")):   true,
 	}
-	if len(keys) != 9 {
-		t.Fatalf("probe keys collided: %d distinct of 9", len(keys))
+	if len(keys) != 7 {
+		t.Fatalf("probe keys collided: %d distinct of 7", len(keys))
 	}
 }
 
@@ -290,34 +295,14 @@ func TestCachedListSurvivesCombination(t *testing.T) {
 	}
 }
 
-// NodeList decodes the matched entries' (docID, ordinal) pairs during
-// the same leaf walk DocList uses: the doc projection of the node list
-// must equal the DocList result on every probe shape, and the ordinals
-// must identify exactly the entries ScanStats reports.
+// NodeList must return exactly the (docID, ordinal) references of the
+// index entries a brute-force scan of the documents finds, on every
+// probe shape.
 func TestNodeListMatchesScanEntries(t *testing.T) {
 	ix := liPrice(t)
-	insert(t, ix, 3, `<order><lineitem price="150"/><lineitem price="90"/></order>`)
-	insert(t, ix, 1, `<order><lineitem price="110"/><lineitem price="120"/></order>`)
-	insert(t, ix, 2, `<order><lineitem price="50"/></order>`)
-	insert(t, ix, 7, `<order><other price="150"/></order>`)
-
-	probes := []Probe{
-		{Range: Range{Lo: dbl(100), LoInc: false}},
-		{Range: Range{Lo: dbl(40), LoInc: true, Hi: dbl(115), HiInc: true}},
-		{Range: Equality(xdm.NewDouble(150))},
-		{},
-		{Range: Range{Lo: dbl(100)}, QueryPattern: pattern.MustParse("/order/lineitem/@price")},
-	}
-	for i, p := range probes {
+	corpus := oracleCorpus(t, ix)
+	for i, p := range oracleProbes {
 		p.NoCache = true
-		entries, _, err := ix.ScanStats(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint64]bool{}
-		for _, e := range entries {
-			want[postings.PackNode(e.DocID, e.NodeID)] = true
-		}
 		nodes, _, cached, err := ix.NodeList(p)
 		if err != nil {
 			t.Fatal(err)
@@ -325,35 +310,16 @@ func TestNodeListMatchesScanEntries(t *testing.T) {
 		if cached {
 			t.Fatalf("probe %d: NoCache NodeList reported a cache hit", i)
 		}
-		if len(nodes) != len(want) {
-			t.Fatalf("probe %d: %d node refs, want %d", i, len(nodes), len(want))
-		}
-		for _, r := range nodes {
-			if !want[r] {
-				t.Fatalf("probe %d: node ref (%d,%d) not among scan entries", i, postings.NodeDoc(r), postings.NodeOrd(r))
-			}
-		}
-		docs, _, _, err := ix.DocList(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		proj := nodes.Docs()
-		if len(proj) != len(docs) {
-			t.Fatalf("probe %d: doc projection %v != DocList %v", i, proj, docs)
-		}
-		for j := range docs {
-			if proj[j] != docs[j] {
-				t.Fatalf("probe %d: doc projection %v != DocList %v", i, proj, docs)
-			}
+		if want := oracleNodes(t, ix, corpus, p); !slices.Equal(nodes, want) {
+			t.Fatalf("probe %d: NodeList %v, oracle %v", i, nodes, want)
 		}
 	}
 }
 
-// Regression for the granularity cache key: a NodeList probe and a
-// DocList probe over the same bounds+pattern must occupy distinct cache
-// entries — neither may be served the other's result — and the
-// node-entry gauge must track stores and evictions.
-func TestProbeCacheGranularityNoCollision(t *testing.T) {
+// DocList and NodeList share one cache entry per (bounds, pattern):
+// whichever runs first populates it, the other is served from it, and an
+// entry-set change invalidates it for both.
+func TestProbeCacheSharedByDocListAndNodeList(t *testing.T) {
 	ix := liPrice(t)
 	reg := metrics.NewRegistry()
 	ix.Instrument(reg)
@@ -361,61 +327,26 @@ func TestProbeCacheGranularityNoCollision(t *testing.T) {
 	insert(t, ix, 2, `<order><lineitem price="120"/><lineitem price="80"/></order>`)
 
 	p := Probe{Range: Range{Lo: dbl(100), LoInc: false}}
-	docs, _, _, err := ix.DocList(p)
+	docs, visited, cached, err := ix.DocList(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 2 {
-		t.Fatalf("DocList = %v, want 2 docs", docs)
+	if cached || visited == 0 || !slices.Equal(docs, postings.List{1, 2}) {
+		t.Fatalf("cold DocList = %v (cached=%v visited=%d), want [1 2] scanned", docs, cached, visited)
 	}
-	// The node probe after the doc probe must MISS (not be served the
-	// doc-granularity entry) and store its own entry.
 	nodes, visited, cached, err := ix.NodeList(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached || visited == 0 {
-		t.Fatalf("NodeList after DocList must scan, got cached=%v visited=%d", cached, visited)
+	if !cached || visited != 0 || len(nodes) != 2 {
+		t.Fatalf("NodeList after DocList = %v (cached=%v visited=%d), want 2 refs from the cache", nodes, cached, visited)
 	}
-	if len(nodes) != 2 {
-		t.Fatalf("NodeList = %v, want 2 node refs", nodes)
-	}
-	if got := reg.Snapshot().Gauges["probecache.node_entries"]; got != 1 {
-		t.Fatalf("probecache.node_entries = %d, want 1", got)
-	}
-	// Both granularities now hit, each its own entry.
-	if !ix.ProbeCached(p) || !ix.NodeListCached(p) {
-		t.Fatal("both granularities must be cached")
-	}
-	if _, _, cached, _ := ix.DocList(p); !cached {
-		t.Fatal("DocList must still hit its own entry")
-	}
-	if _, _, cached, _ := ix.NodeList(p); !cached {
-		t.Fatal("NodeList must hit its own entry")
-	}
-	// Shrinking the cache to one slot evicts the colder entry; the node
-	// gauge must follow whichever granularity was dropped.
-	ix.SetProbeCacheCapacity(1)
-	snap := reg.Snapshot()
-	if snap.Gauges["probecache.entries"] != 1 {
-		t.Fatalf("probecache.entries = %d after shrink, want 1", snap.Gauges["probecache.entries"])
-	}
-	if ix.NodeListCached(p) {
-		// The node entry survived: it must be the one counted.
-		if snap.Gauges["probecache.node_entries"] != 1 {
-			t.Fatalf("node entry survived but gauge = %d", snap.Gauges["probecache.node_entries"])
-		}
-	} else if snap.Gauges["probecache.node_entries"] != 0 {
-		t.Fatalf("node entry evicted but gauge = %d", snap.Gauges["probecache.node_entries"])
-	}
-	// An entry-set change invalidates node entries like doc entries.
-	ix.SetProbeCacheCapacity(0)
-	if _, _, _, err := ix.NodeList(p); err != nil {
-		t.Fatal(err)
+	if got := reg.Snapshot().Gauges["probecache.entries"]; got != 1 {
+		t.Fatalf("probecache.entries = %d, want 1", got)
 	}
 	insert(t, ix, 3, `<order><lineitem price="130"/></order>`)
-	if ix.NodeListCached(p) {
-		t.Fatal("node entry must report stale after an entry-set change")
+	if ix.Cached(p) {
+		t.Fatal("entry must report stale after an entry-set change")
 	}
 	after, _, cached, err := ix.NodeList(p)
 	if err != nil {
@@ -423,5 +354,8 @@ func TestProbeCacheGranularityNoCollision(t *testing.T) {
 	}
 	if cached || len(after) != 3 {
 		t.Fatalf("post-insert NodeList = %v (cached=%v), want 3 refs rescanned", after, cached)
+	}
+	if docs, _, cached, _ := ix.DocList(p); !cached || !slices.Equal(docs, postings.List{1, 2, 3}) {
+		t.Fatalf("DocList after the rescan = %v (cached=%v), want [1 2 3] from the cache", docs, cached)
 	}
 }

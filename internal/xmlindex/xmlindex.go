@@ -62,25 +62,17 @@ func (t Type) xdmType() xdm.Type {
 	}
 }
 
-// Entry identifies one indexed node.
-type Entry struct {
-	DocID  uint32
-	NodeID uint32
-}
-
-// Stats counts cumulative index activity since creation (or the last
-// ResetStats). Per-query accounting uses the counts ScanStats/DocList
-// return instead — these totals are a monitoring aid only.
+// Stats reports an index's size. Probe activity is counted by the
+// registry counters Instrument wires (xmlindex.probes and
+// xmlindex.keys_visited); per-query accounting uses the visited-key
+// counts NodeList and DocList return.
 type Stats struct {
-	Probes      int // number of Scan calls
-	KeysVisited int // B+Tree entries touched across all probes
-	Entries     int // live entries
+	Entries int // live entries
 }
 
-// Index is one XML value index. Probes (Scan, DocList) take the read lock,
-// so concurrent readers proceed in parallel; document insertion and
-// deletion take the write lock. The probe counters are atomics so read
-// locks never mutate shared state.
+// Index is one XML value index. Probes (NodeList, DocList) take the read
+// lock, so concurrent readers proceed in parallel; document insertion
+// and deletion take the write lock.
 type Index struct {
 	Name    string
 	Pattern *pattern.Pattern
@@ -96,9 +88,6 @@ type Index struct {
 	// every cached probe of this index at its next lookup.
 	version atomic.Uint64
 	cache   *probeCache
-
-	probes      atomic.Int64
-	keysVisited atomic.Int64
 
 	// Registry instruments, shared across the indexes of one engine;
 	// nil (uninstrumented) when the index lives outside an engine.
@@ -156,17 +145,7 @@ func (ix *Index) Version() uint64 { return ix.version.Load() }
 func (ix *Index) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return Stats{
-		Probes:      int(ix.probes.Load()),
-		KeysVisited: int(ix.keysVisited.Load()),
-		Entries:     ix.tree.Len(),
-	}
-}
-
-// ResetStats zeroes the probe counters.
-func (ix *Index) ResetStats() {
-	ix.probes.Store(0)
-	ix.keysVisited.Store(0)
+	return Stats{Entries: ix.tree.Len()}
 }
 
 // pathDict interns concrete label paths.
@@ -217,33 +196,6 @@ func nodeLabel(n *xdm.Node) pattern.Label {
 		return pattern.Label{Kind: pattern.PILabel, Local: n.Name.Local}
 	}
 	return pattern.Label{}
-}
-
-// labelPath converts a node's ancestor chain to a pattern label path
-// (document node excluded).
-func labelPath(n *xdm.Node) []pattern.Label {
-	var rev []pattern.Label
-	for m := n; m != nil && m.Kind != xdm.DocumentNode; m = m.Parent {
-		var l pattern.Label
-		switch m.Kind {
-		case xdm.ElementNode:
-			l = pattern.Label{Kind: pattern.ElementLabel, Space: m.Name.Space, Local: m.Name.Local}
-		case xdm.AttributeNode:
-			l = pattern.Label{Kind: pattern.AttributeLabel, Space: m.Name.Space, Local: m.Name.Local}
-		case xdm.TextNode:
-			l = pattern.Label{Kind: pattern.TextLabel}
-		case xdm.CommentNode:
-			l = pattern.Label{Kind: pattern.CommentLabel}
-		case xdm.ProcessingInstructionNode:
-			l = pattern.Label{Kind: pattern.PILabel, Local: m.Name.Local}
-		}
-		rev = append(rev, l)
-	}
-	out := make([]pattern.Label, len(rev))
-	for i, l := range rev {
-		out[len(rev)-1-i] = l
-	}
-	return out
 }
 
 // indexableValue computes the value an entry stores for node n, taking the
@@ -372,160 +324,9 @@ type Probe struct {
 	//xqvet:cachekey-ok cancellation only: the guard aborts a scan, it never changes a completed scan's result
 	Guard *guard.Guard
 	// NoCache bypasses the probe-result cache entirely (neither read nor
-	// populated) — the uncached baseline for benchmarks and tests.
+	// populated), for callers that time the scan itself.
 	//xqvet:cachekey-ok bypass flag: when set the cache is neither read nor written, so no entry exists to collide
 	NoCache bool
-}
-
-// Scan runs a probe and returns the matching entries in key order.
-func (ix *Index) Scan(p Probe) ([]Entry, error) {
-	entries, _, err := ix.ScanStats(p)
-	return entries, err
-}
-
-// ScanStats is Scan plus the number of B+Tree keys this probe visited
-// (including entries the query-pattern restriction rejected). Returning
-// the count per probe — instead of accumulating it in shared index
-// counters a caller would have to read and reset — keeps concurrent
-// queries' statistics independent.
-func (ix *Index) ScanStats(p Probe) ([]Entry, int, error) {
-	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
-		return nil, 0, fmt.Errorf("index %s: %w", ix.Name, err)
-	}
-	if err := p.Guard.Check(); err != nil {
-		return nil, 0, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
-	ix.mProbes.Inc()
-
-	lo, hi, empty, err := ix.bounds(p.Range)
-	if err != nil {
-		return nil, 0, err
-	}
-	if empty {
-		return nil, 0, nil
-	}
-	// Path verdict cache: pathID → matches query pattern.
-	verdicts := map[uint32]bool{} //xqvet:docset-ok keyed by pathID, a pattern-verdict cache, not a doc set
-	pathOK := func(id uint32) bool {
-		if p.QueryPattern == nil {
-			return true
-		}
-		v, ok := verdicts[id]
-		if !ok {
-			v = p.QueryPattern.Match(ix.paths.paths[id])
-			verdicts[id] = v
-		}
-		return v
-	}
-	var out []Entry
-	visited, err := ix.tree.ScanCheck(lo, hi,
-		func(int) error { return p.Guard.Check() },
-		func(key, _ []byte) bool {
-			pathID, docID, nodeID := ix.decodeSuffix(key)
-			if pathOK(pathID) {
-				out = append(out, Entry{DocID: docID, NodeID: nodeID})
-			}
-			return true
-		})
-	ix.keysVisited.Add(int64(visited))
-	ix.mKeys.Add(int64(visited))
-	if err != nil {
-		return nil, visited, err
-	}
-	return out, visited, nil
-}
-
-// docCollector is the btree.Visitor behind DocList: it streams document
-// ids straight off the B+Tree leaf walk. Keys are ordered
-// [value][pathID][docID][nodeID], so within one (value, path) run the
-// doc ids arrive ascending — comparing against the last appended id
-// strips those runs for free, and one sort+dedup at the end handles the
-// restarts across values and paths. No []Entry is materialized.
-type docCollector struct {
-	ix       *Index
-	pat      *pattern.Pattern
-	g        *guard.Guard
-	verdicts map[uint32]bool //xqvet:docset-ok pathID → pattern verdict, not a doc set
-	docs     []uint32
-}
-
-func (c *docCollector) Visit(key, _ []byte) bool {
-	pathID, docID, _ := c.ix.decodeSuffix(key)
-	if c.pat != nil {
-		v, ok := c.verdicts[pathID]
-		if !ok {
-			v = c.pat.Match(c.ix.paths.paths[pathID])
-			c.verdicts[pathID] = v
-		}
-		if !v {
-			return true
-		}
-	}
-	if n := len(c.docs); n > 0 && c.docs[n-1] == docID {
-		return true
-	}
-	c.docs = append(c.docs, docID)
-	return true
-}
-
-func (c *docCollector) Check(int) error { return c.g.Check() }
-
-// DocList runs a probe and returns the distinct matching document ids as
-// a sorted posting list — the document pre-filter I(P, D) of
-// Definition 1 — plus the visited-key count and whether the result came
-// from the probe cache (visited is 0 on a hit). The returned list is
-// shared with the cache and must not be mutated.
-func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
-	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
-		return nil, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
-	}
-	if err := p.Guard.Check(); err != nil {
-		return nil, 0, false, err
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
-	ix.mProbes.Inc()
-
-	lo, hi, empty, err := ix.bounds(p.Range)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if empty {
-		return postings.List{}, 0, false, nil
-	}
-	version := ix.version.Load()
-	var key string
-	if !p.NoCache {
-		key = probeKey(granDocs, lo, hi, p.QueryPattern)
-		if docs, ok := ix.cache.get(key, version); ok {
-			return docs, 0, true, nil
-		}
-	}
-	c := docCollector{ix: ix, pat: p.QueryPattern, g: p.Guard}
-	if p.QueryPattern != nil {
-		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
-	}
-	visited, err := ix.tree.ScanVisit(lo, hi, &c)
-	ix.keysVisited.Add(int64(visited))
-	ix.mKeys.Add(int64(visited))
-	if err != nil {
-		return nil, visited, false, err
-	}
-	// The collector never appends adjacent equals, and doc ids ascend
-	// within each (value, path) key run, so c.docs is a concatenation of
-	// strictly ascending runs — merged in O(n log runs), no full sort.
-	docs := postings.FromRuns(c.docs)
-	if !p.NoCache {
-		// Both version and the scan ran under the index read lock, so no
-		// insert or delete can have interleaved: the cached list is
-		// exactly the entry set at this version.
-		ix.cache.put(key, version, docs)
-	}
-	return docs, visited, false, nil
 }
 
 // nodeCollector is the btree.Visitor behind NodeList: it streams packed
@@ -559,14 +360,13 @@ func (c *nodeCollector) Visit(key, _ []byte) bool {
 
 func (c *nodeCollector) Check(int) error { return c.g.Check() }
 
-// NodeList runs a probe at node granularity: every matching index entry
-// contributes its packed (docID, ordinal) reference, so the caller knows
-// not just which documents hold a hit but exactly which nodes matched.
-// Returns the sorted node list, the visited-key count, and whether the
-// result came from the probe cache (visited is 0 on a hit). Cached under
-// a granularity-tagged key, so node and doc results over the same bounds
-// and pattern never collide. The returned list is shared with the cache
-// and must not be mutated.
+// NodeList runs a probe: every matching index entry contributes its
+// packed (docID, ordinal) reference, so the caller knows not just which
+// documents hold a hit but exactly which nodes matched. It is the one
+// B+Tree probe kernel; DocList projects its result. Returns the sorted
+// node list, the visited-key count, and whether the result came from the
+// probe cache (visited is 0 on a hit). The returned list is shared with
+// the cache and must not be mutated.
 func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 	if err := guard.Fault("xmlindex.scan:" + ix.Name); err != nil {
 		return nil, 0, false, fmt.Errorf("index %s: %w", ix.Name, err)
@@ -576,7 +376,6 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ix.probes.Add(1)
 	ix.mProbes.Inc()
 
 	lo, hi, empty, err := ix.bounds(p.Range)
@@ -589,8 +388,8 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 	version := ix.version.Load()
 	var key string
 	if !p.NoCache {
-		key = probeKey(granNodes, lo, hi, p.QueryPattern)
-		if nodes, ok := ix.cache.getNodes(key, version); ok {
+		key = probeKey(lo, hi, p.QueryPattern)
+		if nodes, ok := ix.cache.get(key, version); ok {
 			return nodes, 0, true, nil
 		}
 	}
@@ -599,7 +398,6 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 		c.verdicts = map[uint32]bool{} //xqvet:docset-ok pathID verdict cache, see the field
 	}
 	visited, err := ix.tree.ScanVisit(lo, hi, &c)
-	ix.keysVisited.Add(int64(visited))
 	ix.mKeys.Add(int64(visited))
 	if err != nil {
 		return nil, visited, false, err
@@ -613,31 +411,34 @@ func (ix *Index) NodeList(p Probe) (postings.NodeList, int, bool, error) {
 		// Version and scan both ran under the index read lock, so no
 		// insert or delete can have interleaved: the cached list is
 		// exactly the entry set at this version.
-		ix.cache.putNodes(key, version, nodes)
+		ix.cache.put(key, version, nodes)
 	}
 	return nodes, visited, false, nil
 }
 
-// ProbeCached reports whether the probe's doc-granularity result is
-// currently served from the cache (the EXPLAIN "probe cache" line). It
-// records no cache traffic and does not disturb the LRU order.
-func (ix *Index) ProbeCached(p Probe) bool {
-	return ix.probeCached(granDocs, p)
+// DocList runs a probe and returns the distinct matching document ids as
+// a sorted posting list — the document pre-filter I(P, D) of
+// Definition 1, projected from NodeList's hits — plus the visited-key
+// count and whether the hits came from the probe cache.
+func (ix *Index) DocList(p Probe) (postings.List, int, bool, error) {
+	nodes, visited, cached, err := ix.NodeList(p)
+	if err != nil {
+		return nil, visited, false, err
+	}
+	return nodes.Docs(), visited, cached, nil
 }
 
-// NodeListCached is ProbeCached for the node-granularity entry.
-func (ix *Index) NodeListCached(p Probe) bool {
-	return ix.probeCached(granNodes, p)
-}
-
-func (ix *Index) probeCached(gran byte, p Probe) bool {
+// Cached reports whether the probe's result is currently served from
+// the cache (the EXPLAIN "probe cache" line). It records no cache
+// traffic and does not disturb the LRU order.
+func (ix *Index) Cached(p Probe) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	lo, hi, empty, err := ix.bounds(p.Range)
 	if err != nil || empty {
 		return false
 	}
-	return ix.cache.peek(probeKey(gran, lo, hi, p.QueryPattern), ix.version.Load())
+	return ix.cache.peek(probeKey(lo, hi, p.QueryPattern), ix.version.Load())
 }
 
 // bounds converts a value range to B+Tree key bounds. empty reports a

@@ -1,11 +1,13 @@
 package xmlindex
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"github.com/xqdb/xqdb/internal/pattern"
+	"github.com/xqdb/xqdb/internal/postings"
 	"github.com/xqdb/xqdb/internal/xdm"
 	"github.com/xqdb/xqdb/internal/xmlparse"
 	"github.com/xqdb/xqdb/internal/xmlschema"
@@ -30,25 +32,107 @@ func insert(t *testing.T, ix *Index, docID uint32, src string) *xdm.Node {
 
 func dbl(f float64) *xdm.Value { v := xdm.NewDouble(f); return &v }
 
-// docSetStats is the map-shaped reference probe these tests (and the
-// DocList differential test) assert against: distinct matching doc ids
-// derived entry-by-entry from ScanStats, independent of the posting-list
-// path. Tests check membership, so the map shape is the convenient one.
-func docSetStats(ix *Index, p Probe) (map[uint32]bool, int, error) {
-	entries, visited, err := ix.ScanStats(p)
+// docSet runs an uncached DocList probe and returns its documents as a
+// set, the shape the hand-written expectations below are written in.
+func docSet(ix *Index, p Probe) (map[uint32]bool, error) {
+	p.NoCache = true
+	docs, _, _, err := ix.DocList(p)
 	if err != nil {
-		return nil, visited, err
+		return nil, err
 	}
-	docs := make(map[uint32]bool)
-	for _, e := range entries {
-		docs[e.DocID] = true
+	set := make(map[uint32]bool, len(docs))
+	for _, d := range docs {
+		set[d] = true
 	}
-	return docs, visited, nil
+	return set, nil
 }
 
-func docSet(ix *Index, p Probe) (map[uint32]bool, error) {
-	docs, _, err := docSetStats(ix, p)
-	return docs, err
+// oracleNodes is the brute-force reference probe: it walks every node of
+// every document, keeps those whose rooted label path matches the index
+// pattern and the probe's query pattern and whose value casts to the
+// index type, and tests the cast value against the range with XQuery
+// value comparison. No B+Tree, key encoding or scan collector is
+// involved, so it checks NodeList and DocList rather than restating
+// them. Date and timestamp indexes key by whole seconds, which value
+// comparison does not, so the oracle suits the other two types.
+func oracleNodes(t *testing.T, ix *Index, docs map[uint32]*xdm.Node, p Probe) postings.NodeList {
+	t.Helper()
+	bound := func(v *xdm.Value) xdm.Value {
+		b, err := v.Cast(ix.Type.xdmType())
+		if err != nil {
+			t.Fatalf("oracle bound %s: %v", v.Lexical(), err)
+		}
+		return b
+	}
+	inRange := func(v xdm.Value) bool {
+		r := p.Range
+		ops := []struct {
+			bound *xdm.Value
+			op    xdm.CompareOp
+		}{{r.Lo, xdm.OpGt}, {r.Hi, xdm.OpLt}}
+		if r.LoInc {
+			ops[0].op = xdm.OpGe
+		}
+		if r.HiInc {
+			ops[1].op = xdm.OpLe
+		}
+		for _, o := range ops {
+			if o.bound == nil {
+				continue
+			}
+			if ok, err := xdm.ValueCompare(o.op, v, bound(o.bound)); err != nil || !ok {
+				return false
+			}
+		}
+		return true
+	}
+	var refs []uint64
+	var walk func(docID uint32, n *xdm.Node)
+	walk = func(docID uint32, n *xdm.Node) {
+		if n.Kind != xdm.DocumentNode {
+			labels := labelPath(n)
+			if ix.Pattern.Match(labels) && (p.QueryPattern == nil || p.QueryPattern.Match(labels)) {
+				if v, ok, err := ix.indexableValue(n); err == nil && ok && inRange(v) {
+					refs = append(refs, postings.PackNode(docID, n.Ordinal))
+				}
+			}
+		}
+		for _, a := range n.Attrs {
+			walk(docID, a)
+		}
+		for _, c := range n.Children {
+			walk(docID, c)
+		}
+	}
+	for id, doc := range docs {
+		walk(id, doc)
+	}
+	slices.Sort(refs)
+	return postings.NodeList(refs)
+}
+
+// labelPath converts a node's ancestor chain to a pattern label path
+// (document node excluded).
+func labelPath(n *xdm.Node) []pattern.Label {
+	var rev []pattern.Label
+	for m := n; m != nil && m.Kind != xdm.DocumentNode; m = m.Parent {
+		var l pattern.Label
+		switch m.Kind {
+		case xdm.ElementNode:
+			l = pattern.Label{Kind: pattern.ElementLabel, Space: m.Name.Space, Local: m.Name.Local}
+		case xdm.AttributeNode:
+			l = pattern.Label{Kind: pattern.AttributeLabel, Space: m.Name.Space, Local: m.Name.Local}
+		case xdm.TextNode:
+			l = pattern.Label{Kind: pattern.TextLabel}
+		case xdm.CommentNode:
+			l = pattern.Label{Kind: pattern.CommentLabel}
+		case xdm.ProcessingInstructionNode:
+			l = pattern.Label{Kind: pattern.PILabel, Local: m.Name.Local}
+		}
+		rev = append(rev, l)
+	}
+	slices.Reverse(rev)
+	return rev
 }
 
 func TestInsertAndRangeScan(t *testing.T) {

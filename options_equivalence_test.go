@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// TestQueryOptionsEquivalenceProperty runs every combination of the
-// public QueryOptions boolean knobs — the knobmatrix analyzer enforces
-// that each one appears here — and requires byte-identical results to
-// the plain defaults: Trace, NoProbeCache, NoSynopsis, NoIndexOnly, and
-// NoNodeSeeds toggle optimizations and observability, never answers.
+// TestQueryOptionsEquivalenceProperty runs every query with Trace off
+// and on — the knobmatrix analyzer requires each public QueryOptions
+// boolean here — serial and parallel, first with cold probe caches and
+// then warm, over an untyped corpus and again after an annotated
+// document joins it, and requires the bytes of the serial full scan.
 func TestQueryOptionsEquivalenceProperty(t *testing.T) {
 	db := Open()
 	db.MustExecSQL(`create table orders (ordid integer, orddoc xml)`)
@@ -36,33 +36,57 @@ func TestQueryOptionsEquivalenceProperty(t *testing.T) {
 		}
 		return b.String()
 	}
-	for _, q := range queries {
-		base, _, err := db.QueryXQuery(q)
-		if err != nil {
-			t.Fatalf("%s baseline: %v", q, err)
-		}
-		want := render(base)
-		for mask := 0; mask < 32; mask++ {
-			for _, par := range []int{1, 4} {
-				o := QueryOptions{
-					Trace:        mask&1 != 0,
-					NoProbeCache: mask&2 != 0,
-					NoSynopsis:   mask&4 != 0,
-					NoIndexOnly:  mask&8 != 0,
-					NoNodeSeeds:  mask&16 != 0,
-					Parallelism:  par,
-				}
-				res, stats, err := db.QueryXQueryOpts(q, o)
-				if err != nil {
-					t.Fatalf("%s under %+v: %v", q, o, err)
-				}
-				if got := render(res); got != want {
-					t.Fatalf("%s: options %+v changed the result\nwant %q\ngot  %q", q, o, want, got)
-				}
-				if o.Trace && (stats == nil || stats.Trace == nil) {
-					t.Fatalf("%s: Trace set but no spans collected", q)
+	// A document li_price matches goes in and out again: the index's
+	// entry set changes and ends where it began, so every cached probe
+	// result is stale and the next probe scans.
+	coldCaches := func() {
+		db.MustExecSQL(`insert into orders values (999999, '<order><lineitem price="-1"/></order>')`)
+		db.MustExecSQL(`delete from orders where ordid = 999999`)
+	}
+	check := func(variant string) {
+		for _, q := range queries {
+			db.UseIndexes = false
+			base, _, err := db.QueryXQueryOpts(q, QueryOptions{Parallelism: 1})
+			db.UseIndexes = true
+			if err != nil {
+				t.Fatalf("%s full scan: %v", q, err)
+			}
+			want := render(base)
+			for _, trace := range []bool{false, true} {
+				for _, par := range []int{1, 4} {
+					o := QueryOptions{Trace: trace, Parallelism: par}
+					for _, run := range []string{"cold", "warm"} {
+						if run == "cold" {
+							coldCaches()
+						}
+						res, stats, err := db.QueryXQueryOpts(q, o)
+						if err != nil {
+							t.Fatalf("%s (%s) under %+v: %v", q, variant, o, err)
+						}
+						if got := render(res); got != want {
+							t.Fatalf("%s (%s): options %+v (%s cache) changed the result\nwant %q\ngot  %q", q, variant, o, run, want, got)
+						}
+						if o.Trace && (stats == nil || stats.Trace == nil) {
+							t.Fatalf("%s: Trace set but no spans collected", q)
+						}
+						if run == "cold" && strings.Contains(strings.Join(stats.IndexesUsed, " "), "[cached]") {
+							t.Fatalf("%s: cold run served from the probe cache: %v", q, stats.IndexesUsed)
+						}
+					}
 				}
 			}
 		}
 	}
+	check("untyped")
+	// An annotated document turns index-only answers and node seeding
+	// off for the column: the same queries take the document-granular
+	// path.
+	sch := NewSchema("typed")
+	if err := sch.Declare("@price", "double"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertValidated("orders", 500000, `<order><custid>3</custid><lineitem price="150"/></order>`, sch); err != nil {
+		t.Fatal(err)
+	}
+	check("annotated")
 }
